@@ -52,7 +52,8 @@
 //! asserted — one short CI round on a shared runner is not a measurement.
 //!
 //! Results land in `bench_results/post_hotpath.{txt,csv}` plus the
-//! machine-readable `BENCH_hotpath.json` headline fold.
+//! machine-readable `BENCH_hotpath.json` headline fold, which also records
+//! the CPUs the run could use.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -64,7 +65,7 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 
 use pyjama_bench::harness::{self, quick_mode};
-use pyjama_bench::perfjson::{fold_headlines, JsonObj};
+use pyjama_bench::perfjson::{env, fold_headlines, JsonObj};
 use pyjama_bench::report::Table;
 use pyjama_runtime::{alloc_stats, Mode, Runtime, TargetRegion};
 use pyjama_trace::TraceId;
@@ -522,6 +523,7 @@ fn main() {
     let mut doc = JsonObj::new();
     doc.str("bench", "post_hotpath")
         .str("source", "cargo bench -p pyjama-bench --bench post_hotpath")
+        .obj("env", env())
         .obj("hotpath", hot)
         .obj("headlines", fold_headlines(Path::new("bench_results")));
     std::fs::write("BENCH_hotpath.json", doc.finish() + "\n").expect("write json");

@@ -105,6 +105,32 @@ fn quote(s: &str) -> String {
     out
 }
 
+/// The CPUs the bench process could use: `available_parallelism` and the
+/// affinity list (`Cpus_allowed_list` of `/proc/self/status`, `"unknown"`
+/// where that file is absent). A ratio measured on 2 CPUs and one measured
+/// on 64 are different results, so a bench document carries this.
+pub fn env() -> JsonObj {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let mut out = JsonObj::new();
+    out.uint(
+        "available_parallelism",
+        std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
+    )
+    .str(
+        "cpu_affinity",
+        cpus_allowed_list(&status).unwrap_or("unknown"),
+    );
+    out
+}
+
+/// The `Cpus_allowed_list` value of a `/proc/<pid>/status` text.
+fn cpus_allowed_list(status: &str) -> Option<&str> {
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+        .map(str::trim)
+}
+
 /// Reads one CSV and returns `(header, rows)` split on commas. Returns
 /// `None` when the file is missing or empty.
 fn read_csv(path: &Path) -> Option<(Vec<String>, Vec<Vec<String>>)> {
@@ -217,6 +243,20 @@ mod tests {
         let mut o = JsonObj::new();
         o.str("k", "a\"b\\c\nd");
         assert_eq!(o.finish(), "{\"k\":\"a\\\"b\\\\c\\nd\"}");
+    }
+
+    #[test]
+    fn env_records_cpu_count_and_affinity() {
+        let status = "Name:\tbench\nCpus_allowed:\t3\nCpus_allowed_list:\t0-1\n";
+        assert_eq!(cpus_allowed_list(status), Some("0-1"));
+        assert_eq!(cpus_allowed_list("Name:\tbench\n"), None);
+        let json = env().finish();
+        let cpus = std::thread::available_parallelism().unwrap().get();
+        assert!(
+            json.starts_with(&format!("{{\"available_parallelism\":{cpus},")),
+            "{json}"
+        );
+        assert!(json.contains("\"cpu_affinity\":\""), "{json}");
     }
 
     #[test]

@@ -62,11 +62,13 @@ fn idea_roundtrip() {
     });
 }
 
-/// Parallel IDEA equals sequential IDEA for any thread count.
+/// Parallel IDEA equals sequential IDEA for any thread count. Lengths
+/// span several of the cipher's 32-block groups, so runs end on a group
+/// boundary or in a padded tail and teams get uneven group counts.
 #[test]
 fn idea_parallel_matches_sequential() {
     check(64, |rng| {
-        let len_blocks = rng.gen_range(1usize..64);
+        let len_blocks = rng.gen_range(1usize..200);
         let threads = rng.gen_range(1usize..6);
         let key = IdeaKey::benchmark_key();
         let mut a = crypt::make_plaintext(len_blocks * 8);
